@@ -4,10 +4,11 @@
 Five things the unified front door gives you beyond the one-shot
 entry points:
 
-1. **Capability-aware auto dispatch** — one Optimizer picks DPccp for
-   small simple graphs, DPhyp for hypergraphs with complex edges, and
-   the greedy heuristic beyond the exact-search size threshold, purely
-   from the registry metadata.
+1. **Capability-aware auto dispatch** — one Optimizer picks the
+   flat-array DPhyp kernel for exact inner-join queries (complex edges
+   included), DPhyp for operator trees, and the greedy heuristic
+   beyond the exact-search size threshold, purely from the registry
+   metadata.
 2. **Batch throughput** — optimize_many() pushes a mixed workload
    through one configured instance; to_dict() makes every result
    JSON-serializable for downstream services.
@@ -56,18 +57,18 @@ def main() -> None:
         ],
     )
     workload = [
-        generators.chain(5),        # small simple graph  -> dpccp
-        generators.star(6),         # small simple graph  -> dpccp
-        generators.cycle(12),       # mid-size simple     -> dphyp
-        spec_with_complex_join,     # complex hyperedge   -> dphyp
+        generators.chain(5),        # small simple graph  -> dphyp-kernel
+        generators.star(6),         # small simple graph  -> dphyp-kernel
+        generators.cycle(12),       # mid-size simple     -> dphyp-kernel
+        spec_with_complex_join,     # complex hyperedge   -> dphyp-kernel
         generators.chain(20),       # beyond threshold    -> greedy
     ]
     auto = Optimizer()  # OptimizerConfig(algorithm="auto") by default
-    print(f"{'query':>22}  {'auto picked':>11}  {'cost':>16}")
+    print(f"{'query':>22}  {'auto picked':>12}  {'cost':>16}")
     results = auto.optimize_many(workload)
     for query, result in zip(workload, results):
         label = getattr(query, "description", "") or "complex-join spec"
-        print(f"{label:>22}  {result.algorithm:>11}  {result.cost:>16,.0f}")
+        print(f"{label:>22}  {result.algorithm:>12}  {result.cost:>16,.0f}")
 
     # -- 2. JSON-ready results -----------------------------------------
     document = results[3].to_dict()

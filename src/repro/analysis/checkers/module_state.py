@@ -18,8 +18,8 @@ kernel package:
 
 Immutable module constants (``tuple``, ``frozenset``, numbers,
 strings, ``None`` — e.g. the kernel's ``SYMMETRIC_KINDS`` frozenset or
-the optional ``_np`` import handle) are fine, as is anything inside a
-function or class body.  Waive a deliberate module cache with
+its ``KIND_*`` integers) are fine, as is anything inside a function or
+class body.  Waive a deliberate module cache with
 ``# repro: ignore[module-state]`` — and be ready to defend it in
 review.
 """

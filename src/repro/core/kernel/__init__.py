@@ -1,6 +1,6 @@
 """Allocation-free DPhyp backend (``dphyp-kernel``).
 
-A two-phase rewrite of the hot path for large inner-join queries: the
+A two-phase rewrite of the hot path for inner-join queries: the
 search runs over flat parallel arrays keyed by an interning dict (no
 Plan objects per candidate), then the winning decomposition is
 materialized back into an ordinary :class:`~repro.core.plans.Plan`

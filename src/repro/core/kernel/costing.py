@@ -6,10 +6,7 @@ dispatch.  Everything that can be derived once per solve is derived
 here:
 
 * :class:`EdgeCoefficients` — per-edge ``(node-mask, selectivity)``
-  pairs in ``edges``-list order, plus (when numpy is importable and
-  the graph fits in 64 bits) a ``uint64`` mask array so the
-  edge-spans-set test for a new plan class is a single vectorized
-  comparison instead of a Python loop over every edge;
+  pairs in ``edges``-list order;
 * :func:`make_cardinality_fn` — a closure computing the *bit-identical*
   equivalent of :meth:`repro.cost.cardinality.SetCardinalityEstimator.
   cardinality`;
@@ -17,23 +14,14 @@ here:
   inline-evaluation kind so the search loop prices candidates without
   a method call for every shipped model.
 
-numpy is strictly optional: importing it failing (or a graph wider
-than 64 nodes) selects the pure-scalar closure, which performs the
-exact same arithmetic in the exact same order.  Selectivity
-multiplication stays sequential in ``edges``-list order even on the
-vectorized path — ``numpy.prod`` may reduce pairwise, which changes
-float rounding and would break the kernel's bit-identical-cost
-contract with ``dphyp``.
+Everything is plain Python: selectivities multiply sequentially in
+``edges``-list order, the same order the estimator uses, which keeps
+the kernel's bit-identical-cost contract with ``dphyp``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-try:  # optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
+from typing import Callable
 
 from ...cost.models import (
     CoutModel,
@@ -100,30 +88,13 @@ class EdgeCoefficients:
     """Per-edge ``(node-mask, selectivity)`` pairs, precomputed once.
 
     ``masks[i]`` / ``selectivities[i]`` follow ``graph.edges`` order.
-    ``vectorized`` is True when the spans-test may run through numpy
-    (importable, at most 64 nodes, at least one edge).
     """
 
-    __slots__ = ("masks", "selectivities", "np_masks", "vectorized")
+    __slots__ = ("masks", "selectivities")
 
-    def __init__(
-        self, graph: Hypergraph, use_numpy: Optional[bool] = None
-    ) -> None:
+    def __init__(self, graph: Hypergraph) -> None:
         self.masks = [edge.nodes for edge in graph.edges]
         self.selectivities = [edge.selectivity for edge in graph.edges]
-        if use_numpy is None:
-            use_numpy = _np is not None
-        self.vectorized = bool(
-            use_numpy
-            and _np is not None
-            and graph.n_nodes <= 64
-            and self.masks
-        )
-        self.np_masks = (
-            _np.array(self.masks, dtype=_np.uint64)
-            if self.vectorized
-            else None
-        )
 
 
 def make_cardinality_fn(
@@ -136,36 +107,12 @@ def make_cardinality_fn(
     Bit-identical to ``SetCardinalityEstimator.cardinality``: base
     cardinalities multiply in increasing node order, then the
     selectivities of every spanned edge in ``edges``-list order, then
-    the one-row clamp.  The vectorized variant uses numpy only to
-    *select* the spanning edges; the multiplications themselves stay
-    sequential Python floats so rounding matches the scalar path (and
-    the estimator) exactly.
+    the one-row clamp.
     """
-    selectivities = coefficients.selectivities
-    if coefficients.vectorized:
-        np_masks = coefficients.np_masks
-        flatnonzero = _np.flatnonzero
-        uint64 = _np.uint64
-
-        def card_of(s: NodeSet) -> float:
-            card = 1.0
-            remaining = s
-            while remaining:
-                low = remaining & -remaining
-                card *= base[low.bit_length() - 1]
-                remaining ^= low
-            s64 = uint64(s)
-            for position in flatnonzero((np_masks & s64) == np_masks):
-                card *= selectivities[position]
-            card = max(card, 1.0)
-            cache[s] = card
-            return card
-
-        return card_of
-
     masks = coefficients.masks
+    selectivities = coefficients.selectivities
 
-    def card_of_scalar(s: NodeSet) -> float:
+    def card_of(s: NodeSet) -> float:
         card = 1.0
         remaining = s
         while remaining:
@@ -179,4 +126,4 @@ def make_cardinality_fn(
         cache[s] = card
         return card
 
-    return card_of_scalar
+    return card_of

@@ -19,10 +19,11 @@ search statistics, the resolved algorithm, relation names, and the
 ``.explain()`` / ``.to_dict()`` conveniences.
 
 ``algorithm="auto"`` dispatches per the paper's guidance using the
-capability metadata in :mod:`repro.registry`: DPccp for small simple
-graphs, DPhyp for everything exact (complex hyperedges included), and
-the greedy heuristic beyond ``exact_threshold`` relations, where
-exhaustive enumeration stops being a sensible default.
+capability metadata in :mod:`repro.registry`: the flat-array
+``dphyp-kernel`` for exact inner-join queries (complex hyperedges
+included), DPhyp for operator trees, and the greedy heuristic beyond
+``exact_threshold`` relations, where exhaustive enumeration stops
+being a sensible default.
 
 The legacy entry points — :func:`repro.api.optimize` and
 :func:`repro.algebra.pipeline.optimize_operator_tree` — are thin
@@ -632,8 +633,11 @@ class OptimizerConfig:
             preserves the legacy behaviour of returning a result whose
             ``plan`` is ``None``.
         exact_threshold: largest relation count at which ``"auto"``
-            still dispatches to an exact enumerator; beyond it the
-            greedy heuristic is selected.
+            still dispatches to an exact enumerator (``dphyp-kernel``
+            for inner joins, ``dphyp`` for operator trees); beyond it
+            the greedy heuristic is selected, except for a hot
+            structure a little above it (see
+            :func:`repro.registry.select_auto`).
         minimize_neighborhoods / memoize_neighborhoods: the DPhyp
             work-saving knobs (both correctness-neutral, both default
             on); honoured whenever the resolved algorithm is

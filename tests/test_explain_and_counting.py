@@ -53,34 +53,47 @@ class TestExplain:
         assert 2 <= summary["depth"] <= 3
 
 
+#: the paper's DPhyp, and the production path: ``auto`` must resolve
+#: to ``dphyp-kernel`` at these sizes and emit the same pairs
+COUNTING_ALGORITHMS = ("dphyp", "auto")
+
+
+def optimize_counted(query, algorithm):
+    result = optimize(query.graph, query.cardinalities, algorithm=algorithm)
+    if algorithm == "auto":
+        assert result.algorithm == "dphyp-kernel"
+    return result
+
+
 class TestCountingFormulas:
     """[17]'s closed forms must match the live algorithm exactly."""
 
+    @pytest.mark.parametrize("algorithm", COUNTING_ALGORITHMS)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_chain(self, n):
-        query = chain(n, seed=0)
-        result = optimize(query.graph, query.cardinalities)
+    def test_chain(self, n, algorithm):
+        result = optimize_counted(chain(n, seed=0), algorithm)
         assert result.stats.ccp_emitted == counting.chain_ccp(n)
         assert result.stats.table_entries == counting.chain_csg(n)
 
+    @pytest.mark.parametrize("algorithm", COUNTING_ALGORITHMS)
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_cycle(self, n):
-        query = cycle(n, seed=0)
-        result = optimize(query.graph, query.cardinalities)
+    def test_cycle(self, n, algorithm):
+        result = optimize_counted(cycle(n, seed=0), algorithm)
         assert result.stats.ccp_emitted == counting.cycle_ccp(n)
         assert result.stats.table_entries == counting.cycle_csg(n)
 
+    @pytest.mark.parametrize("algorithm", COUNTING_ALGORITHMS)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_star(self, n):
-        query = star(n - 1, seed=0)  # n relations total
-        result = optimize(query.graph, query.cardinalities)
+    def test_star(self, n, algorithm):
+        # n relations total
+        result = optimize_counted(star(n - 1, seed=0), algorithm)
         assert result.stats.ccp_emitted == counting.star_ccp(n)
         assert result.stats.table_entries == counting.star_csg(n)
 
+    @pytest.mark.parametrize("algorithm", COUNTING_ALGORITHMS)
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_clique(self, n):
-        query = clique(n, seed=0)
-        result = optimize(query.graph, query.cardinalities)
+    def test_clique(self, n, algorithm):
+        result = optimize_counted(clique(n, seed=0), algorithm)
         assert result.stats.ccp_emitted == counting.clique_ccp(n)
         assert result.stats.table_entries == counting.clique_csg(n)
 

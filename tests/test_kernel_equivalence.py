@@ -11,22 +11,21 @@ These tests pin that contract on random hypergraphs:
   generic proxy path);
 * ``SearchStats`` parity — ``ccp_emitted``, ``table_entries`` and
   ``cost_calls`` must match, or the kernel explored a different space;
-* the numpy-free scalar fallback (simulated by monkeypatching the
-  module's ``_np`` handle) produces the identical result, and the
-  vectorized/scalar cardinality closures agree bit-for-bit.
+* the kernel's cardinality closure agrees bit-for-bit with
+  :class:`~repro.cost.cardinality.SetCardinalityEstimator` on every
+  relation set.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dphyp import solve_dphyp
 from repro.core.dphyp_recursive import solve_dphyp_recursive
 from repro.core.kernel import solve_dphyp_kernel
-from repro.core.kernel import costing as kernel_costing
 from repro.core.kernel.costing import EdgeCoefficients, make_cardinality_fn
 from repro.core.plans import JoinPlanBuilder
 from repro.core.stats import SearchStats
+from repro.cost.cardinality import SetCardinalityEstimator
 from repro.cost.models import (
     CoutModel,
     HashJoinModel,
@@ -140,48 +139,15 @@ class TestKernelEquivalence:
         assert_equivalent(query, SortMergeModel)
 
 
-class TestScalarFallback:
-    """numpy is an accelerator, never a dependency."""
+class TestCardinalityClosure:
+    """The kernel's ``card_of`` is the estimator, float for float."""
 
     @given(query=hypergraph_queries())
     @settings(**COMMON)
-    def test_no_numpy_is_identical(self, query):
-        reference, reference_stats = solve(solve_dphyp, query)
-        saved = kernel_costing._np
-        kernel_costing._np = None  # simulate `import numpy` failing
-        try:
-            coefficients = EdgeCoefficients(query.graph)
-            assert coefficients.vectorized is False
-            plan, stats = solve(solve_dphyp_kernel, query)
-        finally:
-            kernel_costing._np = saved
-        if reference is None:
-            assert plan is None
-            return
-        assert plan is not None
-        assert plan.cost == reference.cost
-        assert plan.cardinality == reference.cardinality
-        assert join_order(plan) == join_order(reference)
-        assert stats.ccp_emitted == reference_stats.ccp_emitted
-
-    @given(query=simple_queries())
-    @settings(**COMMON)
-    def test_vectorized_and_scalar_cardinality_agree(self, query):
-        numpy = pytest.importorskip("numpy")
-        del numpy  # only the availability matters
+    def test_matches_the_estimator(self, query):
         graph = query.graph
         base = [float(c) for c in query.cardinalities]
-        fast = EdgeCoefficients(graph, use_numpy=True)
-        slow = EdgeCoefficients(graph, use_numpy=False)
-        assert fast.vectorized is (graph.n_nodes <= 64 and bool(graph.edges))
-        assert slow.vectorized is False
-        card_fast = make_cardinality_fn(base, fast, {})
-        card_slow = make_cardinality_fn(base, slow, {})
+        card_of = make_cardinality_fn(base, EdgeCoefficients(graph), {})
+        estimator = SetCardinalityEstimator(graph, query.cardinalities)
         for s in range(1, 1 << graph.n_nodes):
-            assert card_fast(s) == card_slow(s)
-
-    def test_explicit_use_numpy_false_means_scalar(self):
-        query = random_simple_query(5, seed=7)
-        coefficients = EdgeCoefficients(query.graph, use_numpy=False)
-        assert coefficients.vectorized is False
-        assert coefficients.np_masks is None
+            assert card_of(s) == estimator.cardinality(s)

@@ -1,10 +1,11 @@
 """Registry, auto-dispatch and plan-cache behavior of ``dphyp-kernel``.
 
-The kernel is registered with deliberately narrow capabilities and a
-size floor; these tests pin the routing consequences:
+The kernel is registered with deliberately narrow capabilities; these
+tests pin the routing consequences:
 
-* ``algorithm="auto"`` never hands an operator-tree (or small) query
-  to the kernel — trees keep going to ``dphyp``;
+* ``algorithm="auto"`` hands every exact inner-join query to the
+  kernel, whatever its size, but never an operator-tree query — trees
+  keep going to ``dphyp``;
 * asking for the kernel on a tree explicitly is a loud
   :class:`~repro.registry.CapabilityError`, not silent fallback;
 * plan-cache keys *distinguish* ``dphyp`` from ``dphyp-kernel`` (the
@@ -44,15 +45,17 @@ class TestRegistration:
     def test_registered_with_narrow_capabilities(self):
         info = get_algorithm("dphyp-kernel")
         assert info.supports_operator_trees is False
-        assert info.recommended_min_n == 15
+        assert info.recommended_max_n is None
 
-    def test_auto_floor_routing(self):
-        # below the floor the kernel never wins auto; above it (and
-        # within the exact threshold) it does
+    def test_auto_routing_has_no_floor(self):
+        # every size within the exact threshold goes to the kernel;
+        # beyond it, greedy
         expectations = [
-            (10, 14, "dpccp"),
-            (14, 14, "dphyp"),
-            (15, 20, "dphyp-kernel"),
+            (2, 14, "dphyp-kernel"),
+            (6, 14, "dphyp-kernel"),
+            (10, 14, "dphyp-kernel"),
+            (14, 14, "dphyp-kernel"),
+            (15, 14, "greedy"),
             (16, 20, "dphyp-kernel"),
             (30, 40, "dphyp-kernel"),
         ]

@@ -133,20 +133,21 @@ class TestAutoDispatch:
     def pick(self, graph):
         return select_auto(graph, self.THRESHOLD).name
 
-    def test_small_simple_shapes_get_dpccp(self):
-        assert self.pick(generators.chain(5).graph) == "dpccp"
-        assert self.pick(generators.star(6).graph) == "dpccp"
-        assert self.pick(generators.cycle(8).graph) == "dpccp"
+    def test_small_simple_shapes_get_kernel(self):
+        # no size floor: the kernel is the exact enumerator at every n
+        assert self.pick(generators.chain(5).graph) == "dphyp-kernel"
+        assert self.pick(generators.star(6).graph) == "dphyp-kernel"
+        assert self.pick(generators.cycle(8).graph) == "dphyp-kernel"
 
-    def test_midsize_simple_gets_dphyp(self):
-        # beyond DPccp's recommended_max_n but within exact territory
-        assert self.pick(generators.cycle(12).graph) == "dphyp"
-        assert self.pick(generators.chain(14).graph) == "dphyp"
+    def test_midsize_simple_gets_kernel(self):
+        # up to the exact threshold, inclusive
+        assert self.pick(generators.cycle(12).graph) == "dphyp-kernel"
+        assert self.pick(generators.chain(14).graph) == "dphyp-kernel"
 
     def test_complex_edges_never_get_dpccp(self):
         for n in (3, 5, 8, 10):
             graph = complex_graph(n)
-            assert self.pick(graph) == "dphyp"
+            assert self.pick(graph) == "dphyp-kernel"
 
     def test_oversized_gets_greedy(self):
         assert self.pick(generators.chain(15).graph) == "greedy"
@@ -163,11 +164,17 @@ class TestAutoDispatch:
                 if not graph.is_simple:
                     assert info.name != "dpccp", n
                     assert info.supports_hypergraphs, n
+                # the production dispatch: the kernel, dphyp for operator
+                # trees, greedy beyond; the baselines never come out
+                exact = n <= self.THRESHOLD
+                assert info.name == ("dphyp-kernel" if exact else "greedy")
+                tree = select_auto(graph, self.THRESHOLD, from_tree=True)
+                assert tree.name == ("dphyp" if exact else "greedy"), n
 
     def test_threshold_is_configurable(self):
         graph = generators.chain(8).graph
         assert select_auto(graph, 5).name == "greedy"
-        assert select_auto(graph, 8).name == "dpccp"
+        assert select_auto(graph, 8).name == "dphyp-kernel"
 
     def test_registered_heuristic_can_win_the_fallback(self):
         register_algorithm(AlgorithmInfo(
