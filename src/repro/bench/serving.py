@@ -27,9 +27,7 @@ request/response loop a v1 client is stuck with (depth 1), once
 through :meth:`~repro.serving.client.PlanClient.optimize_many` with
 ``--pipeline-depth`` requests in flight.  The pipelined run must
 sustain >= ``--min-pipeline-speedup`` (the PR gate: 2x) times the
-serialized q/s, and the duplicate misses racing through the pool must
-produce **shared-memory tier hits** (a worker serving a plan its
-sibling computed moments earlier, before any delta could ship it).
+serialized q/s.
 
 **delta_sync** — deterministic proof that re-syncing a worker after
 100 new entries ships *only* the delta: a cache is warmed with 150
@@ -58,7 +56,7 @@ from ..optimizer import Optimizer, OptimizerConfig, QuerySpec
 from ..serving import BackgroundServer, PlanClient
 
 #: bump when the JSON layout changes incompatibly
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 REQUIRED_KEYS = (
     "schema_version", "label", "python", "serving", "pipeline",
@@ -71,7 +69,7 @@ REQUIRED_SERVING_KEYS = (
 REQUIRED_PIPELINE_KEYS = (
     "depth", "n_requests", "workers", "serial_qps", "pipelined_qps",
     "speedup", "serial_p50_ms", "serial_p99_ms", "pipelined_p50_ms",
-    "pipelined_p99_ms", "tier",
+    "pipelined_p99_ms",
 )
 REQUIRED_DELTA_KEYS = (
     "warm_entries", "added_entries", "delta_entries", "delta_bytes",
@@ -281,12 +279,10 @@ def build_pipeline_workload(groups: int) -> "list[QuerySpec]":
     Each 8-request group (one pipeline window) is ``[a, b, c, d, a, b,
     c, d]``: four distinct cold misses followed by their duplicates.
     At depth 8 the parent probes all eight before any computation
-    finishes, so all eight go to the pool — the duplicates *queue*
-    behind the originals on the 2-worker pool and mostly run after the
-    originals' plans were published, which is exactly the window the
-    shared-memory tier serves (the duplicates' deltas were captured at
-    ship time, before those plans existed).  A serialized client runs
-    the same list, where the duplicates are ordinary parent hits.
+    finishes, so all eight go to the pool — each duplicate's delta was
+    captured at ship time, before its original's plan existed, so the
+    worker computes it again.  A serialized client runs the same list,
+    where the duplicates are ordinary parent hits.
     """
     stream: "list[QuerySpec]" = []
     for index in range(groups):
@@ -313,18 +309,13 @@ def run_pipeline_phase(
     groups: int = 12,
     warm_entries: int = 200,
     workers: int = 2,
-    require_tier_hits: bool = True,
 ) -> "dict[str, Any]":
     """Protocol v2 pipelining vs v1 lockstep on one connection.
 
     Both runs get a *fresh* daemon restored from the same warm cache
     (copied, so the first run's absorbs cannot warm the second), the
     same worker count, and the same request stream; only the client
-    discipline differs.  ``require_tier_hits`` hard-asserts that the
-    pipelined run produced worker-side shared-tier hits — proof the
-    duplicate misses actually raced and the tier closed the window
-    (relaxed only by the tiny test runs, where the race is not
-    statistically guaranteed).
+    discipline differs.
     """
     import shutil
     import tempfile
@@ -365,13 +356,6 @@ def run_pipeline_phase(
             stats = connection.stats()
 
     shutil.rmtree(tmpdir, ignore_errors=True)
-    tier = stats["shared_tier"] or {}
-    tier_hits = (tier.get("workers") or {}).get("tier_hits", 0)
-    if require_tier_hits and tier_hits < 1:
-        raise AssertionError(
-            "pipelined run produced no shared-tier worker hits — the "
-            "duplicate misses never raced, or the tier is broken"
-        )
     serial_p50, serial_p99 = _quantiles_ms(serial_latencies)
     piped_p50, piped_p99 = _quantiles_ms(piped_latencies)
     import os
@@ -395,11 +379,6 @@ def run_pipeline_phase(
         "pipelined_p50_ms": piped_p50,
         "pipelined_p99_ms": piped_p99,
         "speedup": round(serial_wall / piped_wall, 3),
-        "tier": {
-            "publisher": tier.get("publisher"),
-            "workers": tier.get("workers"),
-            "tier_hits": tier_hits,
-        },
         "server": stats["server"],
     }
 
@@ -515,8 +494,7 @@ def render_summary(document: "dict[str, Any]") -> str:
         f"p50={pipeline['serial_p50_ms']}ms "
         f"p99={pipeline['serial_p99_ms']}ms",
         f"  pipeline speedup: {pipeline['speedup']}x "
-        f"({pipeline['workers']} workers, "
-        f"{pipeline['tier']['tier_hits']} shared-tier hits)",
+        f"({pipeline['workers']} workers)",
         f"  delta re-sync: {delta['added_entries']} new entries -> "
         f"{delta['delta_entries']} shipped, {delta['delta_bytes']} B "
         f"vs {delta['full_bytes']} B full "

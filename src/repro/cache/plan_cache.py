@@ -321,46 +321,6 @@ class PlanCache:
                 order=tuple(self._entries) if include_order else None,
             )
 
-    def hot_delta(self, max_entries: int) -> CacheDelta:
-        """Capped bootstrap delta: the hottest fresh entries, atomically.
-
-        Like ``sync_since(0)`` but bounded — the ``max_entries`` *most
-        recently used* fresh entries, still LRU-first within the
-        selection so absorbing them preserves relative priority.  The
-        shared-memory hot tier uses this for its first publish against
-        an already-warm cache: the segment has a byte budget, so
-        shipping the full membership only to trim most of it again
-        would be wasted ``repr`` work.  ``since`` is ``0`` by
-        construction (this is a bootstrap, not a resumable cursor);
-        consumers adopt ``now`` and continue with :meth:`sync_since`.
-        """
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        with self._lock:
-            picked: "list[tuple[int, Any, Any, Optional[str], Optional[float]]]" = []
-            for key in reversed(self._entries):
-                entry = self._entries[key]
-                if entry.epoch != self._epoch:
-                    continue
-                picked.append(
-                    (
-                        entry.mutation_id,
-                        key,
-                        entry.recipe,
-                        entry.structure,
-                        entry.cost,
-                    )
-                )
-                if len(picked) >= max_entries:
-                    break
-            picked.reverse()
-            return CacheDelta(
-                since=0,
-                now=self.mutations,
-                epoch=self._epoch,
-                entries=tuple(picked),
-            )
-
     def absorb(
         self, items: "list[tuple[Any, Any, Optional[str], Optional[float]]]"
     ) -> int:

@@ -16,9 +16,6 @@ snapshot.  This package is the long-lived alternative:
   requests carry an ``id`` and :meth:`~repro.serving.client.PlanClient.
   optimize_many` keeps a window of them in flight (pipelining), with
   per-client cache namespaces;
-* :class:`~repro.serving.shared_tier.HotTierPublisher` /
-  :class:`~repro.serving.shared_tier.HotTierReader` — the
-  shared-memory hot-plan tier pool workers probe before computing;
 * :class:`~repro.serving.shard.ShardRouter` — fingerprint-sharded
   client across M daemons, with dead-shard fallback-to-compute;
 * :class:`~repro.serving.runner.BackgroundServer` — in-process harness
@@ -39,7 +36,6 @@ from .protocol import (
 from .runner import BackgroundServer
 from .server import PROTOCOL_VERSION, PlanServer
 from .shard import ShardRouter
-from .shared_tier import HotTierPublisher, HotTierReader
 from .sync import DeltaTracker
 
 __all__ = [
@@ -55,7 +51,5 @@ __all__ = [
     "BackgroundServer",
     "PlanServer",
     "ShardRouter",
-    "HotTierPublisher",
-    "HotTierReader",
     "DeltaTracker",
 ]

@@ -21,10 +21,8 @@ then admission control (bounded in-flight + bounded queue, explicit
 ``overloaded`` rejection) for actual misses, which ship to a worker
 carrying the current cache delta.  The worker's identity-space recipe
 is absorbed into the shared cache by the parent, exactly like the
-batch backend, so the cache evolves deterministically — and then
-republished into the shared-memory hot tier
-(:mod:`repro.serving.shared_tier`) so sibling workers see it at their
-next task without waiting for a shipped delta.
+batch backend, so the cache evolves deterministically; sibling
+workers pick it up from the delta their next task carries.
 
 Protocol v2 — pipelining: a request carrying an ``id`` is dispatched
 concurrently (one asyncio task per request, bounded by
@@ -63,7 +61,6 @@ from .protocol import (
     read_frame,
     wire_to_spec,
 )
-from .shared_tier import DEFAULT_TIER_BYTES, HotTierPublisher
 from .sync import DeltaTracker
 from .worker import serving_worker_init, serving_worker_kill, serving_worker_run
 
@@ -138,8 +135,6 @@ class PlanServer:
             before the server sends a ``timeout`` error and closes it
             (``None`` = never) — abandoned clients cannot hold fds
             forever.
-        shared_tier_bytes: size of the shared-memory hot-plan segment
-            workers probe before computing (``0`` disables the tier).
         debug_ops: enable the ``debug-sleep`` / ``debug-kill-worker``
             ops the failure-path tests use; never enable in real
             serving.
@@ -155,7 +150,6 @@ class PlanServer:
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         pipeline_window: int = DEFAULT_PIPELINE_WINDOW,
         idle_timeout: Optional[float] = None,
-        shared_tier_bytes: int = DEFAULT_TIER_BYTES,
         debug_ops: bool = False,
     ) -> None:
         if workers < 1:
@@ -168,8 +162,6 @@ class PlanServer:
             raise ValueError("pipeline_window must be at least 1")
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be None or > 0 seconds")
-        if shared_tier_bytes < 0:
-            raise ValueError("shared_tier_bytes must be >= 0")
         if config is None:
             config = OptimizerConfig()
         self.config = config
@@ -209,20 +201,6 @@ class PlanServer:
         self._closing = False
         self._active = 0
         self._waiting = 0
-        if shared_tier_bytes:
-            #: shared-memory hot-plan segment — best effort: a platform
-            #: without usable POSIX shared memory serves without a tier
-            #: instead of failing to start
-            try:
-                self._tier: Optional[HotTierPublisher] = HotTierPublisher(
-                    capacity_bytes=shared_tier_bytes
-                )
-            except OSError:
-                self._tier = None
-        else:
-            self._tier = None
-        #: latest shared-tier counters reported by each worker (by pid)
-        self._worker_tier: "dict[int, dict[str, int]]" = {}
         self._counters: "dict[str, int]" = {
             "requests": 0,
             "served_parent": 0,
@@ -245,18 +223,14 @@ class PlanServer:
         return self.host, self.port
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        tier_name = self._tier.name if self._tier is not None else None
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=serving_worker_init,
-            initargs=(self.config, snapshot_registrations(), tier_name),
+            initargs=(self.config, snapshot_registrations()),
         )
 
     async def start(self) -> None:
         """Bind the listener and build the worker pool."""
-        if self._tier is not None and len(self.cache):
-            # a warm-loaded cache seeds the tier before any task runs
-            self._tier.publish_from(self.cache)
         pool = self._make_pool()
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -327,9 +301,6 @@ class PlanServer:
             # release the store's connection (and stop its background
             # compactor, when one is running) after the final save
             self._persister.close()
-        if self._tier is not None:
-            # the pool is down, no reader is left: unlink the segment
-            self._tier.close(unlink=True)
         self._stop_event.set()
         return {"ok": True, "drained": drained, "saved": saved}
 
@@ -497,10 +468,6 @@ class PlanServer:
                 return {"ok": True, "entries": written}
             if op == "bump-epoch":
                 epoch = self.cache.bump_epoch()
-                if self._tier is not None:
-                    # republish so tier readers see the epoch move and
-                    # stop serving now-stale rows
-                    self._tier.publish_from(self.cache)
                 return {"ok": True, "epoch": epoch}
             if op == "shutdown":
                 return await self.shutdown(
@@ -528,9 +495,6 @@ class PlanServer:
             "queue_limit": self.queue_limit,
             "pipeline_window": self.pipeline_window,
             "idle_timeout": self.idle_timeout,
-            "shared_tier": (
-                self._tier.name if self._tier is not None else None
-            ),
         }
 
     async def _op_stats(self) -> "dict[str, Any]":
@@ -540,20 +504,6 @@ class PlanServer:
             server["queued"] = self._waiting
             server["closing"] = self._closing
             server["namespaces"] = len(self._optimizers)
-            worker_tier = [dict(c) for c in self._worker_tier.values()]
-        tier: "Optional[dict[str, Any]]" = None
-        if self._tier is not None:
-            workers_summed: "dict[str, int]" = {}
-            for counters in worker_tier:
-                for key, value in counters.items():
-                    if isinstance(value, int):
-                        workers_summed[key] = (
-                            workers_summed.get(key, 0) + value
-                        )
-            tier = {
-                "publisher": self._tier.counters(),
-                "workers": workers_summed,
-            }
         return {
             "ok": True,
             "server": server,
@@ -565,7 +515,6 @@ class PlanServer:
                 else None
             ),
             "structures": self.cache.structures(),
-            "shared_tier": tier,
         }
 
     async def _op_debug_sleep(
@@ -649,15 +598,7 @@ class PlanServer:
                 "the worker pool died twice on this request",
             )
         self._tracker.record(payload["pid"], payload["synced_to"])
-        tier_counters = payload.get("tier")
-        if tier_counters:
-            async with self._lock:
-                self._worker_tier[payload["pid"]] = tier_counters
         result = optimizer._absorb_recipe(ctx, payload)
-        if self._tier is not None:
-            # republish so sibling workers see this plan at their next
-            # task start, without waiting for a shipped delta
-            self._tier.publish_from(self.cache)
         async with self._lock:
             self._counters["served_pool"] += 1
         return self._result_response(result, via="pool")

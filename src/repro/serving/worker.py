@@ -7,7 +7,9 @@ born with one full snapshot and die with the batch — serving workers
 live for the daemon's lifetime and are kept warm **incrementally**:
 every task carries a :class:`~repro.cache.plan_cache.CacheDelta` (the
 entries written to the parent cache since the pool's sync floor), and
-the worker absorbs only what is newer than its own cursor.
+the worker absorbs only what is newer than its own cursor.  That delta
+is the only way a worker learns about plans computed elsewhere; its
+own pipeline's cache probe then serves anything it already holds.
 
 Epoch handling: a delta whose ``epoch`` differs from the last one this
 worker saw means the parent's statistics moved (``bump-epoch`` op).
@@ -69,22 +71,15 @@ def _close_inherited_inet_sockets() -> None:
             sock.detach()  # release ownership without closing
 
 
-def serving_worker_init(
-    config: Any, registrations: list, tier_name: Optional[str] = None
-) -> None:
+def serving_worker_init(config: Any, registrations: list) -> None:
     """Pool initializer: one optimizer home + cold cache per worker.
 
     ``config`` is the daemon's base :class:`~repro.optimizer.
     OptimizerConfig`; persistence and autosave are stripped — the
     parent owns the cache file, workers must never touch it.  Custom
     solver registrations are restored before any config validation
-    resolves algorithm names.  ``tier_name`` is the parent's
-    shared-memory hot-plan segment (:mod:`repro.serving.shared_tier`);
-    the reader attaches lazily, and every tier failure degrades to
-    computing without it.
+    resolves algorithm names.
     """
-    from .shared_tier import HotTierReader  # local: import cycle
-
     _close_inherited_inet_sockets()
     restore_registrations(registrations)
     base = replace(
@@ -95,23 +90,6 @@ def serving_worker_init(
     _SERVING_STATE["optimizers"] = {}
     _SERVING_STATE["synced_to"] = 0
     _SERVING_STATE["parent_epoch"] = 0
-    _SERVING_STATE["tier"] = (
-        HotTierReader(tier_name) if tier_name is not None else None
-    )
-    #: seqlock generation of the last absorbed tier snapshot
-    _SERVING_STATE["tier_generation"] = -1
-    #: highest tier mutation_id absorbed — a *separate* cursor from
-    #: ``synced_to``: the tier is partial coverage (hottest rows only),
-    #: so it must never trim the shipped delta
-    _SERVING_STATE["tier_cursor"] = 0
-    #: keys this worker absorbed from the tier (hit attribution)
-    _SERVING_STATE["tier_keys"] = set()
-    _SERVING_STATE["tier_counters"] = {
-        "tier_hits": 0,
-        "tier_rows_absorbed": 0,
-        "tier_refreshes": 0,
-        "tier_epoch_skips": 0,
-    }
 
 
 def _apply_delta(delta: "dict[str, Any]") -> None:
@@ -131,62 +109,6 @@ def _apply_delta(delta: "dict[str, Any]") -> None:
         cache.absorb(fresh)
     if delta["now"] > synced_to:
         _SERVING_STATE["synced_to"] = delta["now"]
-
-
-def _refresh_from_tier() -> None:
-    """Absorb new shared-tier rows into this worker's local cache.
-
-    Runs *after* :func:`_apply_delta` so the worker's ``parent_epoch``
-    is current: a tier published at a different epoch (the parent
-    bumped statistics between the task shipping and running, or the
-    segment lags) is skipped entirely rather than resurrecting stale
-    plans.  The generation check makes the common case — nothing
-    published since last task — one 8-byte shared-memory read.
-
-    Rows are filtered by a tier-local cursor, **not** by ``synced_to``:
-    the tier can legitimately carry rows *newer* than the shipped
-    delta (that freshness is its whole point — a sibling worker's
-    result absorbed after this task was queued), and absorbing a row
-    the next delta will ship again is an idempotent upsert.
-    """
-    reader = _SERVING_STATE.get("tier")
-    if reader is None:
-        return
-    generation = reader.generation()
-    if generation is None or generation % 2:
-        return
-    if generation == _SERVING_STATE["tier_generation"]:
-        return
-    # record prefixes let the reader skip already-absorbed rows
-    # without parsing them — steady state decodes only what's new
-    snapshot = reader.snapshot(since=_SERVING_STATE["tier_cursor"])
-    if snapshot is None:
-        return
-    counters: "dict[str, int]" = _SERVING_STATE["tier_counters"]
-    counters["tier_refreshes"] += 1
-    snap_generation, epoch, rows = snapshot
-    if epoch != _SERVING_STATE["parent_epoch"]:
-        # do not record the generation: retry once the epochs agree
-        counters["tier_epoch_skips"] += 1
-        return
-    cache: PlanCache = _SERVING_STATE["cache"]
-    cursor: int = _SERVING_STATE["tier_cursor"]
-    tier_keys: set = _SERVING_STATE["tier_keys"]
-    fresh = []
-    for row in rows:
-        if not isinstance(row, tuple) or len(row) != 5:
-            continue
-        mutation_id, key, recipe, structure, cost = row
-        if not isinstance(mutation_id, int) or mutation_id <= cursor:
-            continue
-        fresh.append((key, recipe, structure, cost))
-        tier_keys.add(key)
-        cursor = max(cursor, mutation_id)
-    if fresh:
-        cache.absorb(fresh)
-        counters["tier_rows_absorbed"] += len(fresh)
-    _SERVING_STATE["tier_cursor"] = cursor
-    _SERVING_STATE["tier_generation"] = snap_generation
 
 
 def _optimizer_for(namespace: Optional[str]) -> Any:
@@ -215,32 +137,18 @@ def serving_worker_run(task: "dict[str, Any]") -> "dict[str, Any]":
     sync floor.
     """
     _apply_delta(task["delta"])
-    _refresh_from_tier()
     spec = wire_to_spec(task["query"])
     optimizer = _optimizer_for(task.get("namespace"))
-    cache: PlanCache = _SERVING_STATE["cache"]
-    counters: "dict[str, int]" = _SERVING_STATE["tier_counters"]
-    # probe before computing: a row the tier just delivered (or any
-    # earlier task warmed) is served by replay, skipping enumeration
-    ctx, served = optimizer._probe_for_process_batch(spec, cache)
-    if served is not None:
-        result = served
-        if (
-            ctx.key_info is not None
-            and ctx.key_info.key in _SERVING_STATE["tier_keys"]
-        ):
-            counters["tier_hits"] += 1
-    else:
-        result = optimizer._run_pipeline(spec, None, None, cache)
+    # the pipeline's own cache probe serves anything an earlier delta
+    # (or an earlier task in this worker) already delivered
+    result = optimizer._run_pipeline(
+        spec, None, None, _SERVING_STATE["cache"]
+    )
     payload: "dict[str, Any]" = {
         "pid": os.getpid(),
         "synced_to": _SERVING_STATE["synced_to"],
         "stats": result.stats.as_dict(),
-        "tier": dict(counters),
     }
-    reader = _SERVING_STATE.get("tier")
-    if reader is not None:
-        payload["tier"].update(reader.counters())
     if result.plan is None or result.graph is None:
         payload["recipe"] = None
     else:

@@ -72,7 +72,7 @@ class TestOptimizeLifecycle:
             assert hello["protocol"] == 2
             assert hello["workers"] == 1
             assert hello["pipeline_window"] >= 1
-            assert "shared_tier" in hello
+            assert "shared_tier" not in hello
             assert client.ping() is True
 
     def test_unplannable_query_is_bad_request(self, server):

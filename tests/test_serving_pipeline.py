@@ -8,7 +8,9 @@ Three layers, matching the implementation:
   through the pipelined :meth:`~repro.serving.client.PlanClient.
   optimize_many` window and through raw sockets (out-of-order
   completion, per-connection window exhaustion, v1 interop);
-* the idle-connection reaper.
+* the idle-connection reaper;
+* a differential check of v1 and pipelined daemon answers against the
+  ``dphyp-recursive`` oracle, across an epoch bump.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimizer import OptimizerConfig, QuerySpec
+from repro.optimizer import JoinSpec, Optimizer, OptimizerConfig, QuerySpec
 from repro.serving import BackgroundServer, PlanClient, ServerError
 from repro.serving.protocol import (
     HEADER_BYTES,
@@ -271,3 +273,69 @@ class TestShutdownInterop:
             second = recv_frame(sock)
         assert first.get("id") == 4 and first["ok"]
         assert second["ok"] and "id" not in second
+
+
+# -- differential: daemon answers vs the dphyp-recursive oracle ------------
+
+
+def _shape_spec(n: int, pairs, base: float, extra=()) -> QuerySpec:
+    """``n`` relations with uneven cardinalities joined along ``pairs``."""
+    return QuerySpec(
+        relations=[
+            (f"r{i}", base * (1 + (7 * i) % 5) + 3.0 * i) for i in range(n)
+        ],
+        joins=[
+            (f"r{a}", f"r{b}", 0.5 / (1 + (a + 2 * b) % 4)) for a, b in pairs
+        ] + list(extra),
+    )
+
+
+def _differential_stream() -> "list[QuerySpec]":
+    """A pipeline-bench window plus one query of each classic shape.
+
+    The first eight requests are four cold misses followed by their
+    duplicates (``build_pipeline_workload``'s shape): at depth 8 the
+    duplicates reach the pool before their originals' plans exist.
+    """
+    colds = [
+        _shape_spec(6, [(i, i + 1) for i in range(5)], 900.0 + 50.0 * j)
+        for j in range(4)
+    ]
+    hyper = _shape_spec(
+        6, [(0, 1), (1, 2), (3, 4), (4, 5)], 40.0,
+        extra=[JoinSpec.of(("r0", "r1", "r2"), ("r3", "r4", "r5"), 0.01)],
+    )
+    return colds + colds + [
+        _shape_spec(7, [(i, i + 1) for i in range(6)], 120.0),
+        _shape_spec(6, [(i, (i + 1) % 6) for i in range(6)], 130.0),
+        _shape_spec(6, [(0, i) for i in range(1, 6)], 140.0),
+        _shape_spec(5, [(a, b) for a in range(5) for b in range(a + 1, 5)],
+                    150.0),
+        hyper,
+    ]
+
+
+class TestDifferentialAgainstOracle:
+    @pytest.mark.parametrize("mode", ["v1", "pipelined"])
+    def test_every_answer_matches_the_oracle(self, mode):
+        stream = _differential_stream()
+        oracle = Optimizer(algorithm="dphyp-recursive", cache="off")
+        expected = [oracle.optimize(spec).plan.cost for spec in stream]
+
+        def send(client):
+            if mode == "pipelined":
+                return client.optimize_many(stream, depth=8)
+            return [client.optimize(spec) for spec in stream]
+
+        with BackgroundServer(OptimizerConfig(cache="on"), workers=2) as daemon:
+            with PlanClient(daemon.address) as client:
+                cold = send(client)
+                client.bump_epoch()
+                replay = send(client)
+                served_pool = client.stats()["server"]["served_pool"]
+        for answers in (cold, replay):
+            assert all(a["ok"] and a["plannable"] for a in answers)
+            assert [a["cost"] for a in answers] == expected
+        # the epoch bump turned every cached plan stale: the replay
+        # recomputed each distinct query in the pool again
+        assert served_pool >= 2 * 9
