@@ -10,8 +10,10 @@ pre-edit entries.
 
 This checker pins the key-building surface by **AST fingerprint**: a
 SHA-256 over the docstring-stripped ``ast.dump`` of the key-defining
-functions/classes in ``repro/cache/keys.py`` and
-``repro/core/identity.py``.  The fingerprint for the current
+functions/classes in ``repro/cache/keys.py`` (including the
+exact-repeat memo's content function), the canonical labeling in
+``repro/core/canonical.py`` that decides every digest and permutation,
+and ``repro/core/identity.py``.  The fingerprint for the current
 ``KEY_VERSION`` is committed in
 :mod:`repro.analysis.key_fingerprints`; the check fails when
 
@@ -45,6 +47,16 @@ FINGERPRINTED_DEFINITIONS: "dict[str, tuple[str, ...]]" = {
         "CacheKeyInfo",
         "structure_bucket",
         "build_cache_key",
+        "exact_key_content",
+    ),
+    # the canonical labeling decides every key's digest and permutation
+    "core/canonical.py": (
+        "canonical_form",
+        "_search",
+        "_refine",
+        "_encode",
+        "_token_table",
+        "_token_rank",
     ),
     "core/identity.py": (
         "PROCESS_SCOPE_MARKER",

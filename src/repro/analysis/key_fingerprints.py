@@ -13,5 +13,5 @@ for provably semantics-neutral refactors.
 
 #: KEY_VERSION -> hex SHA-256 of the key-building AST surface
 KEY_FINGERPRINTS: "dict[int, str]" = {
-    1: "d3f9950761f5c207cd1e57d23cf71b88d93cc484a073260bc62a0bdbd2638478",
+    1: "d05f993f081a40e4c06f6b4680a69e747ad68a966900c6c330107b82064034cd",
 }

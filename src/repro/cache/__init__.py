@@ -25,7 +25,13 @@ this package has no dependency on the facade and can be reused by
 other serving layers (e.g. a future cross-process shared store).
 """
 
-from .keys import KEY_VERSION, CacheKeyInfo, build_cache_key, structure_bucket
+from .keys import (
+    KEY_VERSION,
+    CacheKeyInfo,
+    build_cache_key,
+    exact_key_content,
+    structure_bucket,
+)
 from .persist import (
     CachePersistenceWarning,
     DocumentPersister,
@@ -44,6 +50,7 @@ __all__ = [
     "KEY_VERSION",
     "CacheKeyInfo",
     "build_cache_key",
+    "exact_key_content",
     "structure_bucket",
     "CachePersistenceWarning",
     "DocumentPersister",

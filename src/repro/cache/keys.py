@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..core import bitset
 from ..core.hypergraph import Hypergraph, payload_token
@@ -113,3 +113,35 @@ def build_cache_key(
         inverse=form.inverse,
         canonical=form.canonical,
     )
+
+
+def exact_key_content(
+    graph: Hypergraph,
+    cardinalities: Sequence[float],
+    config_key: tuple,
+) -> Optional[tuple]:
+    """Every input :func:`build_cache_key` reads, as one flat tuple.
+
+    The tuple is ``(config_key, n_nodes, *cardinalities, *edges)`` with
+    each cardinality as ``float`` and each edge, in ``edges``-list
+    order, as ``left, right, flex, float(selectivity)``.  Equal content
+    means :func:`build_cache_key` builds an equal key, so
+    :meth:`~repro.cache.plan_cache.PlanCache.memoized_key` can serve an
+    exact repeat its already-built :class:`CacheKeyInfo` without
+    canonical labeling.  ``int`` and ``float`` cardinalities give equal
+    content, as they give equal keys.
+
+    Returns ``None`` (bypass the memo) when any cardinality or
+    selectivity is zero: ``0.0 == -0.0`` inside a tuple, but the two
+    ``repr`` tokens, and so the two digests, differ.
+    """
+    cards = [float(card) for card in cardinalities]
+    if 0.0 in cards:
+        return None
+    content: list = [config_key, graph.n_nodes, *cards]
+    for edge in graph.edges:
+        selectivity = float(edge.selectivity)
+        if selectivity == 0.0:
+            return None
+        content += (edge.left, edge.right, edge.flex, selectivity)
+    return tuple(content)

@@ -25,6 +25,15 @@ recipes (nested int tuples) — are picklable by construction; that
 invariant is what the persistence layer's ``repr``/``literal_eval``
 round-trip relies on.
 
+Exact-repeat key memo: beside the entries, the cache keeps a small
+LRU (:data:`KEY_MEMO_CAPACITY` entries) from a query's exact content
+(:func:`~repro.cache.keys.exact_key_content`) to the
+:class:`~repro.cache.keys.CacheKeyInfo` already built for it, so a
+byte-for-byte repeat skips canonical labeling.  The memo is derived
+state of this process: it is never persisted, snapshotted, or shipped
+in :meth:`PlanCache.sync_since` deltas, and :meth:`PlanCache.clear`
+empties it.
+
 Statistics epochs: callers that refresh their catalog statistics call
 :meth:`PlanCache.bump_epoch`.  Entries written under an older epoch
 are treated as *stale* on lookup: the query re-optimizes and the entry
@@ -42,8 +51,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .keys import CacheKeyInfo
+
 #: default number of entries an :class:`Optimizer`-owned cache keeps
 DEFAULT_CAPACITY = 512
+#: entries of the exact-repeat key memo (see :meth:`PlanCache.memoized_key`)
+KEY_MEMO_CAPACITY = 256
 
 
 @dataclass
@@ -144,6 +157,9 @@ class PlanCache:
         #: persistence can skip rewriting an unchanged cache: a warm
         #: serving loop autosaves only when something actually moved.
         self.mutations = 0
+        #: exact query content -> CacheKeyInfo, LRU-first; keys do not
+        #: depend on entries or epochs, so only clear() empties it
+        self._key_memo: "OrderedDict[tuple, CacheKeyInfo]" = OrderedDict()
 
     # -- core operations -------------------------------------------------
 
@@ -215,6 +231,35 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    # -- exact-repeat key memo -------------------------------------------
+
+    def memoized_key(self, content: tuple) -> Optional[CacheKeyInfo]:
+        """The key info memoized for exact query ``content``, or ``None``.
+
+        ``content`` comes from :func:`~repro.cache.keys.exact_key_content`;
+        a hit refreshes the memo entry's LRU position.  Counters are not
+        touched: the memo only short-cuts key construction, and the
+        probe that follows counts the lookup as usual.
+        """
+        with self._lock:
+            info = self._key_memo.get(content)
+            if info is not None:
+                self._key_memo.move_to_end(content)
+            return info
+
+    def memoize_key(self, content: tuple, info: CacheKeyInfo) -> None:
+        """Remember ``info`` (the built key) for exact query ``content``.
+
+        Bounded at :data:`KEY_MEMO_CAPACITY` entries, least recently
+        used out first: exact repeats stay while unique content (e.g.
+        relabelings) churns through.
+        """
+        with self._lock:
+            self._key_memo[content] = info
+            self._key_memo.move_to_end(content)
+            if len(self._key_memo) > KEY_MEMO_CAPACITY:
+                self._key_memo.popitem(last=False)
 
     # -- persistence hooks ------------------------------------------------
 
@@ -411,6 +456,7 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._key_memo.clear()
             self.mutations += 1
 
     # -- introspection ---------------------------------------------------

@@ -127,12 +127,24 @@ def _refine(
     edge_ranks: Sequence[int],
     incidence: Sequence[Sequence[int]],
 ) -> list[int]:
-    """Stable color refinement; returns dense ranks per node."""
+    """Stable color refinement; returns dense ranks per node.
+
+    ``colors`` must already be dense ranks (``0 .. k-1``), as every
+    caller passes them.  A discrete partition (``n`` classes) is
+    returned as is: it is stable by definition, and one more pass
+    would sort the signatures by their leading ``colors[v]`` and hand
+    back the same dense ranks.  Skewed catalogs (distinct
+    cardinalities) start discrete, as do individualized children in
+    :func:`_search` whose individualization left no tie; for them
+    the search costs one :func:`_encode` and no refinement pass.
+    """
+    n_classes = len(set(colors))
+    if n_classes == n:
+        return colors
 
     def side_colors(s: NodeSet) -> tuple[int, ...]:
         return tuple(sorted(colors[u] for u in bitset.iter_nodes(s)))
 
-    n_classes = len(set(colors))
     while True:
         signatures = []
         for v in range(n):
@@ -164,7 +176,7 @@ def _refine(
         order = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
         colors = [order[sig] for sig in signatures]
         new_classes = len(set(colors))
-        if new_classes == n_classes:
+        if new_classes == n_classes or new_classes == n:
             return colors
         n_classes = new_classes
 

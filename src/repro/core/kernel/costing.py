@@ -1,27 +1,23 @@
-"""Precomputed cost/cardinality coefficients for the kernel search.
+"""Precomputed cost coefficients for the kernel search.
 
 The kernel's inner loop prices a candidate join with a handful of
 float operations instead of Plan construction plus cost-model method
 dispatch.  Everything that can be derived once per solve is derived
 here:
 
-* :class:`EdgeCoefficients` — per-edge ``(node-mask, selectivity)``
-  pairs in ``edges``-list order;
-* :func:`make_cardinality_fn` — a closure computing the *bit-identical*
-  equivalent of :meth:`repro.cost.cardinality.SetCardinalityEstimator.
-  cardinality`;
 * :func:`classify_model` — maps the builder's cost model onto an
   inline-evaluation kind so the search loop prices candidates without
-  a method call for every shipped model.
+  a method call for every shipped model;
+* :class:`PlanProxy` — reusable stand-ins for the generic path.
 
-Everything is plain Python: selectivities multiply sequentially in
-``edges``-list order, the same order the estimator uses, which keeps
-the kernel's bit-identical-cost contract with ``dphyp``.
+Set cardinality is not here: the search calls
+:meth:`repro.cost.cardinality.SetCardinalityEstimator.compute` on the
+builder's own estimator, the one set-cardinality loop every plan
+builder join shares, which keeps the kernel's bit-identical-cost
+contract with ``dphyp`` by construction.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from ...cost.models import (
     CoutModel,
@@ -30,7 +26,6 @@ from ...cost.models import (
     SortMergeModel,
 )
 from ..bitset import NodeSet
-from ..hypergraph import Hypergraph
 
 #: inline-evaluation kinds for :func:`classify_model`
 KIND_COUT = 0
@@ -82,48 +77,3 @@ class PlanProxy:
         self.nodes: NodeSet = 0
         self.cardinality = 0.0
         self.cost = 0.0
-
-
-class EdgeCoefficients:
-    """Per-edge ``(node-mask, selectivity)`` pairs, precomputed once.
-
-    ``masks[i]`` / ``selectivities[i]`` follow ``graph.edges`` order.
-    """
-
-    __slots__ = ("masks", "selectivities")
-
-    def __init__(self, graph: Hypergraph) -> None:
-        self.masks = [edge.nodes for edge in graph.edges]
-        self.selectivities = [edge.selectivity for edge in graph.edges]
-
-
-def make_cardinality_fn(
-    base: "list[float]",
-    coefficients: EdgeCoefficients,
-    cache: "dict[NodeSet, float]",
-) -> Callable[[NodeSet], float]:
-    """Build ``card_of(s)``: clamped set cardinality, cached in ``cache``.
-
-    Bit-identical to ``SetCardinalityEstimator.cardinality``: base
-    cardinalities multiply in increasing node order, then the
-    selectivities of every spanned edge in ``edges``-list order, then
-    the one-row clamp.
-    """
-    masks = coefficients.masks
-    selectivities = coefficients.selectivities
-
-    def card_of(s: NodeSet) -> float:
-        card = 1.0
-        remaining = s
-        while remaining:
-            low = remaining & -remaining
-            card *= base[low.bit_length() - 1]
-            remaining ^= low
-        for mask, selectivity in zip(masks, selectivities):
-            if mask & s == mask:
-                card *= selectivity
-        card = max(card, 1.0)
-        cache[s] = card
-        return card
-
-    return card_of

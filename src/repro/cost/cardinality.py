@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import bitset
 from ..core.bitset import NodeSet
 from ..core.hypergraph import Hypergraph
 
@@ -73,9 +72,19 @@ class SetCardinalityEstimator:
     """Order-invariant cardinality of relation sets for inner joins.
 
     ``cardinality(S)`` = product of base cardinalities of ``S`` times
-    the selectivities of all hyperedges spanned by ``S``.  Results are
-    memoized; the estimator is the reference the property tests compare
-    incremental plan cardinalities against.
+    the selectivities of all hyperedges spanned by ``S``, clamped to
+    one row.  Results are memoized in :attr:`cache`; the estimator is
+    the reference the property tests compare incremental plan
+    cardinalities against.
+
+    This is the one set-cardinality loop in the package: the plan
+    builder's joins (cache replay, ``dphyp``, kernel materialization)
+    call :meth:`cardinality`, and the flat-array kernel's search
+    prices candidates through :meth:`compute` on the builder's own
+    estimator, sharing :attr:`cache` with the materialization that
+    follows.  Base cardinalities multiply in increasing node order,
+    then the selectivities of every spanned edge in ``edges``-list
+    order, so every caller sees the same floats.
     """
 
     def __init__(
@@ -85,24 +94,41 @@ class SetCardinalityEstimator:
             raise ValueError("need one cardinality per node")
         self.graph = graph
         self.base = [float(c) for c in base_cardinalities]
-        self._cache: dict[NodeSet, float] = {}
+        # (node-mask, selectivity) pairs in edges-list order, read once
+        # (one estimator per plan builder, i.e. per query): the spans
+        # test becomes one mask comparison per edge
+        self._masks = [edge.nodes for edge in graph.edges]
+        self._selectivities = [edge.selectivity for edge in graph.edges]
+        self.cache: dict[NodeSet, float] = {}
 
     def cardinality(self, s: NodeSet) -> float:
         if s == 0:
             raise ValueError("cardinality of the empty set is undefined")
-        cached = self._cache.get(s)
+        cached = self.cache.get(s)
         if cached is not None:
             return cached
+        return self.compute(s)
+
+    def compute(self, s: NodeSet) -> float:
+        """Cardinality of non-empty ``s``, computed and stored in the cache.
+
+        The uncached half of :meth:`cardinality`, for callers (the
+        kernel search) that probe :attr:`cache` themselves.
+        """
+        base = self.base
         card = 1.0
-        for node in bitset.iter_nodes(s):
-            card *= self.base[node]
-        for edge in self.graph.edges:
-            if edge.spans(s):
-                card *= edge.selectivity
+        remaining = s
+        while remaining:
+            low = remaining & -remaining
+            card *= base[low.bit_length() - 1]
+            remaining ^= low
+        for mask, selectivity in zip(self._masks, self._selectivities):
+            if mask & s == mask:
+                card *= selectivity
         # One-row clamp, applied at the *set* level so the estimate
         # remains a pure function of the relation set (order-invariant).
         card = max(card, 1.0)
-        self._cache[s] = card
+        self.cache[s] = card
         return card
 
     def newly_applied_selectivity(self, s1: NodeSet, s2: NodeSet) -> float:

@@ -52,6 +52,7 @@ from .cache import (
     CacheKeyInfo,
     PlanCache,
     build_cache_key,
+    exact_key_content,
     plan_recipe,
     replay_recipe,
     structure_bucket,
@@ -421,8 +422,11 @@ class FingerprintStage:
     Computes the annotated canonical form (cardinalities as node
     colors, selectivities as edge colors) so every isomorphic
     relabeling of the query maps to one key, and combines it with the
-    config/cost-model key tuple.  Skipped entirely — zero overhead —
-    when no cache is attached or the query is not cacheable.
+    config/cost-model key tuple.  An exact repeat of recent query
+    content takes its key from the cache's exact-repeat memo
+    (:meth:`PlanCache.memoized_key`) instead.  Skipped entirely — zero
+    overhead — when no cache is attached or the query is not
+    cacheable.
     """
 
     def __call__(self, ctx: PipelineContext) -> None:
@@ -437,12 +441,24 @@ class FingerprintStage:
         # replaced names yield process-scoped keys the persistence
         # layer refuses (see repro.core.identity).
         resolved = registration_fingerprint(ctx.info.name)
-        ctx.key_info = build_cache_key(
-            ctx.graph,
-            ctx.resolved_cardinalities,
-            ctx.config.cache_key() + (resolved,),
+        config_key = ctx.config.cache_key() + (resolved,)
+        # Exact repeats reuse the key built for their first occurrence
+        # (same content, same key bytes); everything else, including
+        # content the memo must not conflate, builds it afresh.
+        content = exact_key_content(
+            ctx.graph, ctx.resolved_cardinalities, config_key
         )
-        if not ctx.key_info.canonical:
+        key_info = (
+            None if content is None else ctx.cache.memoized_key(content)
+        )
+        if key_info is None:
+            key_info = build_cache_key(
+                ctx.graph, ctx.resolved_cardinalities, config_key
+            )
+            if content is not None:
+                ctx.cache.memoize_key(content, key_info)
+        ctx.key_info = key_info
+        if not key_info.canonical:
             # canonicalization hit its budget (uniform-stats cliques):
             # the index-order fallback key still dedupes exact repeats
             # but not relabelings — count it so operators can see when

@@ -205,6 +205,7 @@ class TestKeyFingerprint:
         (root / "core").mkdir()
         shutil.copy(PACKAGE_ROOT / "cache" / "keys.py", root / "cache")
         shutil.copy(PACKAGE_ROOT / "core" / "identity.py", root / "core")
+        shutil.copy(PACKAGE_ROOT / "core" / "canonical.py", root / "core")
         return root
 
     def check(self, root, recorded):
@@ -230,6 +231,22 @@ class TestKeyFingerprint:
                 "key=(KEY_VERSION, form.digest, config_key, 'extra'),",
             )
         )
+        findings = self.check(root, {1: digest})
+        assert len(findings) == 1
+        assert "bump KEY_VERSION" in findings[0].message
+
+    def test_edited_canonical_labeling_without_bump_fails(self, tmp_path):
+        # the labeling decides every digest and permutation, so it is
+        # part of the key-building surface
+        root = self.make_tree(tmp_path)
+        digest, _ = compute_fingerprint(root)
+        canonical = root / "core" / "canonical.py"
+        source = canonical.read_text()
+        edited = source.replace(
+            "if n_classes == n:", "if n_classes == n and n > 1:"
+        )
+        assert edited != source
+        canonical.write_text(edited)
         findings = self.check(root, {1: digest})
         assert len(findings) == 1
         assert "bump KEY_VERSION" in findings[0].message

@@ -11,18 +11,19 @@ These tests pin that contract on random hypergraphs:
   generic proxy path);
 * ``SearchStats`` parity — ``ccp_emitted``, ``table_entries`` and
   ``cost_calls`` must match, or the kernel explored a different space;
-* the kernel's cardinality closure agrees bit-for-bit with
-  :class:`~repro.cost.cardinality.SetCardinalityEstimator` on every
+* the one set-cardinality loop the kernel prices with
+  (:meth:`~repro.cost.cardinality.SetCardinalityEstimator.compute`)
+  agrees bit-for-bit with the spans-based definition on every
   relation set.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import bitset
 from repro.core.dphyp import solve_dphyp
 from repro.core.dphyp_recursive import solve_dphyp_recursive
 from repro.core.kernel import solve_dphyp_kernel
-from repro.core.kernel.costing import EdgeCoefficients, make_cardinality_fn
 from repro.core.plans import JoinPlanBuilder
 from repro.core.stats import SearchStats
 from repro.cost.cardinality import SetCardinalityEstimator
@@ -140,14 +141,24 @@ class TestKernelEquivalence:
 
 
 class TestCardinalityClosure:
-    """The kernel's ``card_of`` is the estimator, float for float."""
+    """The kernel's ``card_of`` is the estimator's flat loop, and that
+    loop is the spans-based definition, float for float."""
 
     @given(query=hypergraph_queries())
     @settings(**COMMON)
     def test_matches_the_estimator(self, query):
         graph = query.graph
-        base = [float(c) for c in query.cardinalities]
-        card_of = make_cardinality_fn(base, EdgeCoefficients(graph), {})
         estimator = SetCardinalityEstimator(graph, query.cardinalities)
+        card_of = JoinPlanBuilder(graph, query.cardinalities).estimator.compute
         for s in range(1, 1 << graph.n_nodes):
-            assert card_of(s) == estimator.cardinality(s)
+            # the definition: base cardinalities in node order, then
+            # every spanned edge in edges-list order, then the clamp
+            reference = 1.0
+            for node in bitset.iter_nodes(s):
+                reference *= float(query.cardinalities[node])
+            for edge in graph.edges:
+                if edge.spans(s):
+                    reference *= edge.selectivity
+            reference = max(reference, 1.0)
+            assert card_of(s) == reference
+            assert estimator.cardinality(s) == reference
